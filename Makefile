@@ -10,8 +10,8 @@ export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 test:  ## tier-1 suite: unit tests + benchmark reproductions
 	$(PYTHON) -m pytest -x -q
 
-chaos:  ## fault-injection suite: watchdog, retry, resume, quarantine
-	$(PYTHON) -m pytest tests/test_resilience.py -q
+chaos:  ## fault-injection suite: watchdog, retry, resume, quarantine, service pool
+	$(PYTHON) -m pytest tests/test_resilience.py tests/test_service.py::TestChaos -q
 
 bench:  ## benchmark suite only, with timing columns
 	$(PYTHON) -m pytest benchmarks -q --benchmark-columns=mean,stddev,ops
@@ -25,7 +25,7 @@ perf-check:  ## CI gate: latest perf entry vs checked-in baseline (>2x fails)
 perf-smoke:  ## CI guard: warm SCL load + single search under ceilings
 	$(PYTHON) -m pytest benchmarks/perf -q
 
-SERVE_ARGS ?= --port 8841 --workers 2 -j 2
+SERVE_ARGS ?= --port 8841 --workers 2
 
 serve:  ## run the compile service (docs/service.md); override SERVE_ARGS
 	$(PYTHON) -m repro serve $(SERVE_ARGS)

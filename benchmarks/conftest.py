@@ -35,12 +35,15 @@ def batch_engine():
         warnings.warn(
             f"REPRO_BENCH_JOBS={raw!r} is not an integer; running serially"
         )
-        return None
+        yield None
+        return
     if jobs < 2:
-        return None
+        yield None
+        return
     from repro.batch import BatchCompiler
 
-    return BatchCompiler(jobs=jobs, use_cache=False)
+    with BatchCompiler(jobs=jobs, use_cache=False) as engine:
+        yield engine
 
 
 @pytest.fixture(scope="session")

@@ -47,7 +47,7 @@ def main() -> None:
     )
     print(f"sweep: {grid_summary(specs)}")
 
-    engine = BatchCompiler(
+    with BatchCompiler(
         jobs=args.jobs,
         cache_dir=args.cache_dir,
         use_cache=not args.no_cache,
@@ -55,8 +55,8 @@ def main() -> None:
             f"  [{done}/{total}] {rec['spec_summary']} — {rec['status']}"
             f" ({'cached' if rec.get('cached') else 'compiled'})"
         ),
-    )
-    result = engine.compile_specs(specs, implement=args.implement)
+    ) as engine:
+        result = engine.compile_specs(specs, implement=args.implement)
     print(result.stats.cache_line())
     print()
     print(summarize(result.records))

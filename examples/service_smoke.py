@@ -34,7 +34,7 @@ def start_server(cache_dir: str) -> tuple[subprocess.Popen, str]:
     proc = subprocess.Popen(
         [
             sys.executable, "-m", "repro", "serve",
-            "--port", "0", "--workers", "2", "-j", "1",
+            "--port", "0", "--workers", "2",
             "--cache-dir", cache_dir,
         ],
         stdout=subprocess.PIPE,

@@ -43,7 +43,13 @@ setup(
         "numpy",
     ],
     extras_require={
-        "dev": ["pytest", "pytest-benchmark", "pytest-cov", "ruff"],
+        "dev": [
+            "hypothesis",
+            "pytest",
+            "pytest-benchmark",
+            "pytest-cov",
+            "ruff",
+        ],
     },
     entry_points={
         "console_scripts": [

@@ -9,7 +9,9 @@ facade into a design-space instrument:
 * :mod:`repro.batch.cache` — the on-disk JSON result store
   (``~/.cache/repro`` by default) that makes repeated sweeps free;
 * :mod:`repro.batch.engine` — :class:`BatchCompiler`: dedup, cache
-  lookup, ``concurrent.futures`` process pool, progress reporting;
+  lookup, pooled execution, progress reporting;
+* :mod:`repro.batch.pool` — :class:`WorkerPool`: the one long-lived,
+  recyclable worker-process pool that sweeps and the service run on;
 * :mod:`repro.batch.sweep` — the range grammar (``32:256:x2``)
   expanding CLI axes into spec grids;
 * :mod:`repro.batch.summarize` — Pareto/scaling reports over a sweep's
@@ -35,6 +37,7 @@ from .cache import (
 from .engine import BatchCompiler, BatchResult, BatchStats
 from .faults import FaultPlan, active_plan
 from .jobs import CompileJob, ImplementJob
+from .pool import WorkerPool
 from .resilience import (
     RetryPolicy,
     SweepJournal,
@@ -57,6 +60,7 @@ __all__ = [
     "ResultStore",
     "RetryPolicy",
     "SweepJournal",
+    "WorkerPool",
     "active_plan",
     "cache_corruption_count",
     "expand_grid",

@@ -4,8 +4,8 @@
 specs, or implement-only runs of explicit architectures), deduplicates
 identical ones by content hash, satisfies what it can from the
 persistent :class:`~repro.batch.cache.ResultCache`, and schedules the
-remainder across a ``concurrent.futures`` process pool.  Workers
-receive plain-dict payloads and return plain-dict records (see
+remainder across a long-lived :class:`~repro.batch.pool.WorkerPool`.
+Workers receive plain-dict payloads and return plain-dict records (see
 :func:`repro.compiler.syndcim.execute_job`), so no live compiler
 objects ever cross a process boundary.
 
@@ -14,9 +14,12 @@ Scheduling notes
 * ``jobs=1`` (or a single pending job without a watchdog) runs inline
   in this process — no pool, easier debugging, identical results.
   Watchdog timeouts, retries and fault injection are pool features;
-  inline mode trades them for debuggability.
-* The parent resolves the subcircuit library (persistent disk cache,
-  falling back to one characterization) before spawning workers; a
+  inline mode trades them for debuggability.  An engine handed a
+  shared ``pool`` (the compile service) always runs pooled.
+* The engine's pool starts with the first pooled job and serves every
+  later ``run_jobs``/``map`` call until :meth:`BatchCompiler.close`.
+  Before it starts, the parent resolves the subcircuit library
+  (persistent disk cache, falling back to one characterization); a
   pool initializer then warms every child from the same artifact, so
   no worker ever re-runs the characterization — under ``fork`` *and*
   ``spawn`` alike.
@@ -32,7 +35,7 @@ Resilience (see :mod:`repro.batch.resilience` and
 * ``job_timeout_s`` arms a watchdog: jobs are dispatched in a sliding
   window (never more in flight than workers, so dispatch ≈ start),
   each future carries a deadline, and an overdue future gets its pool
-  killed and recycled rather than hanging the sweep forever.
+  generation killed and recycled rather than hanging the sweep forever.
 * Transient failures — a broken pool, a watchdog kill, a future that
   raised with the pool alive — are retried under a
   :class:`~repro.batch.resilience.RetryPolicy` with exponential
@@ -55,7 +58,8 @@ import os
 import pathlib
 import time
 import warnings
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures import FIRST_COMPLETED, wait
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import (
     Callable,
@@ -76,6 +80,7 @@ from ..verify.harness import DEFAULT_VECTORS
 from .cache import ResultCache, ResultStore, default_cache_dir
 from .faults import FaultPlan, active_plan
 from .jobs import CompileJob, ImplementJob
+from .pool import WorkerPool, _worker_initializer  # noqa: F401 (re-export)
 from .resilience import PoolOutcome, RetryPolicy, SweepJournal, new_run_id
 
 Job = Union[CompileJob, ImplementJob]
@@ -172,7 +177,8 @@ class BatchCompiler:
     ----------
     jobs:
         Worker-process count; ``None`` uses the CPU count, ``1`` runs
-        inline.
+        inline.  Ignored when ``pool`` is given (its worker count
+        applies).
     cache_dir / use_cache:
         Where the persistent result store lives (default
         ``$REPRO_CACHE_DIR`` or ``~/.cache/repro``); ``use_cache=False``
@@ -224,6 +230,13 @@ class BatchCompiler:
         CompileOptions.retry_policy`, ``retry``) in one validated
         object; the individual keyword arguments for those fields are
         ignored when ``options`` is given.
+    pool:
+        A :class:`~repro.batch.pool.WorkerPool` to run on, shared with
+        other engines and closed by its owner — how the compile service
+        runs every job on one pool.  Without one the engine starts its
+        own on the first pooled job, reuses it across ``run_jobs`` and
+        ``map`` calls, and shuts it down in :meth:`close` (or on leaving
+        a ``with`` block).
     """
 
     def __init__(
@@ -243,6 +256,7 @@ class BatchCompiler:
         journal: Optional[bool] = None,
         store: Optional[ResultStore] = None,
         options: Optional[CompileOptions] = None,
+        pool: Optional[WorkerPool] = None,
     ) -> None:
         self.options = options
         if options is not None:
@@ -253,7 +267,12 @@ class BatchCompiler:
             vt = options.vt
             job_timeout_s = options.job_timeout_s
             retry = options.retry_policy() if retry is None else retry
+        if pool is not None:
+            jobs = pool.workers
         self.jobs = max(1, jobs if jobs is not None else (os.cpu_count() or 1))
+        #: Where pooled jobs run; see the ``pool`` parameter.
+        self.pool = pool if pool is not None else WorkerPool(self.jobs)
+        self._owns_pool = pool is None
         if store is not None:
             self.cache: Optional[ResultStore] = store if use_cache else None
         elif use_cache:
@@ -287,11 +306,18 @@ class BatchCompiler:
             if resume is not None
             else (new_run_id() if self._journal_root is not None else None)
         )
-        #: Shared-memory segments published by this engine (SCL tensors
-        #: from :meth:`_prewarm`, net views from
-        #: :meth:`publish_net_view`); every pool worker receives this
-        #: list through its initializer and attaches zero-copy.
-        self._shm_segments: List[str] = []
+
+    def close(self) -> None:
+        """Shut down the engine's own pool, waiting for running jobs.  A
+        pool passed in belongs to its owner and stays up."""
+        if self._owns_pool:
+            self.pool.close()
+
+    def __enter__(self) -> "BatchCompiler":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
 
     def _resolve_journal_root(
         self,
@@ -465,11 +491,11 @@ class BatchCompiler:
                 journal.begin(total=stats.total, unique=stats.unique)
                 journal.submit(pending.keys())
             if pending:
-                use_pool = self.jobs > 1 and (
-                    len(pending) > 1 or self.job_timeout_s is not None
+                use_pool = not self._owns_pool or (
+                    self.jobs > 1
+                    and (len(pending) > 1 or self.job_timeout_s is not None)
                 )
                 if use_pool:
-                    self._prewarm()
                     self._prewarm_corners(pending.values())
                     self._run_resilient(
                         pending,
@@ -602,31 +628,36 @@ class BatchCompiler:
         attempts: Dict[str, int],
         plan: Optional[FaultPlan],
     ) -> PoolOutcome:
-        """One process-pool pass over ``jobs_map``.
+        """One pass over ``jobs_map`` through :attr:`pool`.
 
         Jobs are dispatched in a sliding window (in-flight count never
         exceeds the worker count), so a future's submit time is its
         start time for watchdog purposes.  Three exits:
 
         * clean — every job finished (or individually raised);
-        * watchdog — an overdue future was detected: the pool is
-          killed, the overdue jobs land in ``timed_out``, everything
-          else unfinished returns for an uncharged re-run;
+        * watchdog — an overdue future was detected: its pool
+          generation is killed and recycled, the overdue jobs land in
+          ``timed_out``, everything else unfinished returns for an
+          uncharged re-run;
         * pool break — a worker died: ``fatal`` is set, the jobs in
           flight at the break (the only possible culprits, at most one
           per worker) land in ``broken``, and the never-dispatched
           remainder returns for an uncharged re-run.
 
+        A future that died because another caller sharing the pool
+        killed its generation (:meth:`WorkerPool.killed`) is
+        collateral: it stays in ``unfinished`` for an uncharged re-run
+        and the pass carries on.
+
         If the caller's ``finish`` raises (e.g. the CLI aborting on a
-        closed output pipe), unstarted futures are cancelled so the
+        closed output pipe), this pass's futures are cancelled so the
         grid does not keep compiling into the void.
         """
-        from concurrent.futures.process import BrokenProcessPool
-
         from ..compiler.syndcim import execute_job
 
+        pool = self.pool
         outcome = PoolOutcome(unfinished=dict(jobs_map))
-        workers = min(self.jobs, len(jobs_map))
+        window = min(self.jobs, len(jobs_map))
         deadline_s = self.job_timeout_s
         poll = (
             None
@@ -635,161 +666,114 @@ class BatchCompiler:
         )
         queue = list(jobs_map.items())
         next_i = 0
-        in_flight: Dict[object, Tuple[str, Optional[float]]] = {}
-        with ProcessPoolExecutor(
-            max_workers=workers,
-            initializer=_worker_initializer,
-            initargs=(tuple(self._shm_segments),),
-        ) as pool:
+        #: future -> (job key, deadline, pool generation)
+        in_flight: Dict[object, Tuple[str, Optional[float], int]] = {}
 
-            def submit_window() -> None:
-                nonlocal next_i
-                while next_i < len(queue) and len(in_flight) < workers:
-                    key, job = queue[next_i]
-                    next_i += 1
-                    payload = job.payload()
-                    if plan is not None:
-                        # Ephemeral context (never part of the job
-                        # key): lets workers compute the same fault
-                        # draws as the parent.
-                        payload["fault_ctx"] = {
-                            "key": key,
-                            "attempt": attempts.get(key, 0) + 1,
-                        }
-                    try:
-                        future = pool.submit(execute_job, payload)
-                    except (BrokenProcessPool, RuntimeError) as exc:
-                        outcome.fatal = f"{type(exc).__name__}: {exc}"
-                        return
-                    in_flight[future] = (
-                        key,
-                        None
-                        if deadline_s is None
-                        else time.monotonic() + deadline_s,
-                    )
+        def submit_window() -> None:
+            nonlocal next_i
+            while next_i < len(queue) and len(in_flight) < window:
+                key, job = queue[next_i]
+                next_i += 1
+                payload = job.payload()
+                if plan is not None:
+                    # Ephemeral context (never part of the job key):
+                    # lets workers compute the same fault draws as the
+                    # parent.
+                    payload["fault_ctx"] = {
+                        "key": key,
+                        "attempt": attempts.get(key, 0) + 1,
+                    }
+                try:
+                    future, generation = pool.submit(execute_job, payload)
+                except RuntimeError as exc:  # incl. BrokenProcessPool
+                    outcome.fatal = f"{type(exc).__name__}: {exc}"
+                    return
+                in_flight[future] = (
+                    key,
+                    None
+                    if deadline_s is None
+                    else time.monotonic() + deadline_s,
+                    generation,
+                )
 
+        try:
             submit_window()
-            try:
-                while in_flight and outcome.fatal is None:
-                    ready, _ = wait(
-                        list(in_flight),
-                        timeout=poll,
-                        return_when=FIRST_COMPLETED,
-                    )
-                    for future in ready:
-                        key, _deadline = in_flight.pop(future)
-                        try:
-                            record = future.result()
-                        except BrokenProcessPool as exc:
-                            outcome.fatal = f"{type(exc).__name__}: {exc}"
-                            outcome.broken[key] = outcome.fatal
-                            outcome.unfinished.pop(key, None)
+            while in_flight and outcome.fatal is None:
+                ready, _ = wait(
+                    list(in_flight), timeout=poll, return_when=FIRST_COMPLETED
+                )
+                for future in ready:
+                    key, _deadline, generation = in_flight.pop(future)
+                    try:
+                        record = future.result()
+                    except Exception as exc:
+                        reason = f"{type(exc).__name__}: {exc}"
+                        if pool.killed(generation):
+                            continue  # collateral: stays unfinished
+                        outcome.unfinished.pop(key, None)
+                        if isinstance(exc, BrokenProcessPool):
+                            pool.recycle(generation)
+                            outcome.fatal = reason
+                            outcome.broken[key] = reason
                             break
-                        except Exception as exc:
-                            # A single-future failure with the pool
-                            # still alive (cancellation, an injected
-                            # raise): transient — the caller decides
-                            # whether to retry.
-                            outcome.raised[key] = (
-                                f"{type(exc).__name__}: {exc}"
+                        # A single-future failure with the pool still
+                        # alive (cancellation, an injected raise):
+                        # transient — the caller decides whether to
+                        # retry.
+                        outcome.raised[key] = reason
+                        continue
+                    finish_executed(key, record)
+                    outcome.unfinished.pop(key, None)
+                if outcome.fatal is not None:
+                    break
+                if deadline_s is not None:
+                    now = time.monotonic()
+                    overdue = [
+                        future
+                        for future, (_key, deadline, _gen) in in_flight.items()
+                        if deadline is not None and now >= deadline
+                    ]
+                    if overdue:
+                        for future in overdue:
+                            key, _deadline, generation = in_flight.pop(future)
+                            outcome.timed_out[key] = (
+                                "watchdog: exceeded job timeout "
+                                f"{deadline_s:g}s"
                             )
                             outcome.unfinished.pop(key, None)
-                            continue
-                        finish_executed(key, record)
-                        outcome.unfinished.pop(key, None)
-                    if outcome.fatal is not None:
+                            # Running futures cannot be cancelled: kill
+                            # their generation; the next submit starts a
+                            # fresh one.
+                            pool.recycle(generation, watchdog=True)
                         break
-                    if deadline_s is not None:
-                        now = time.monotonic()
-                        overdue = [
-                            (future, key)
-                            for future, (key, deadline) in in_flight.items()
-                            if deadline is not None and now >= deadline
-                        ]
-                        if overdue:
-                            for future, key in overdue:
-                                outcome.timed_out[key] = (
-                                    "watchdog: exceeded job timeout "
-                                    f"{deadline_s:g}s"
-                                )
-                                outcome.unfinished.pop(key, None)
-                                in_flight.pop(future, None)
-                            # Running futures cannot be cancelled:
-                            # kill the pool, recycle on the next pass.
-                            self._kill_pool(pool)
-                            break
-                    submit_window()
-            except BaseException:
-                pool.shutdown(wait=False, cancel_futures=True)
-                raise
-            if outcome.fatal is not None:
-                # Everything still in flight shared the broken pool:
-                # they are the suspect set the retry loop charges.
-                for future, (key, _deadline) in in_flight.items():
-                    outcome.broken.setdefault(key, outcome.fatal)
-                    outcome.unfinished.pop(key, None)
-                pool.shutdown(wait=False, cancel_futures=True)
+                submit_window()
+        except BaseException:
+            for future in in_flight:
+                future.cancel()
+            raise
+        if outcome.fatal is not None:
+            # Everything still in flight shared the broken pool: they
+            # are the suspect set the retry loop charges.
+            for key, _deadline, _gen in in_flight.values():
+                outcome.broken.setdefault(key, outcome.fatal)
+                outcome.unfinished.pop(key, None)
         return outcome
-
-    @staticmethod
-    def _kill_pool(pool: ProcessPoolExecutor) -> None:
-        """Terminate every worker, then tear the executor down without
-        waiting on futures that will never complete.  Reaches into the
-        executor's process table — there is no public kill switch, and
-        a missing table (API drift) degrades to a plain shutdown."""
-        for proc in list(getattr(pool, "_processes", {}).values()):
-            try:
-                proc.terminate()
-            except Exception:
-                pass
-        pool.shutdown(wait=False, cancel_futures=True)
 
     def map(self, fn: Callable, items: Iterable) -> List[object]:
         """Order-preserving parallel map over picklable ``fn``/``items``
-        using this engine's worker budget; serial when ``jobs=1``."""
+        on this engine's pool; serial when ``jobs=1``."""
         items = list(items)
         if self.jobs <= 1 or len(items) <= 1:
             return [fn(item) for item in items]
-        self._prewarm()
-        workers = min(self.jobs, len(items))
-        with ProcessPoolExecutor(
-            max_workers=workers,
-            initializer=_worker_initializer,
-            initargs=(tuple(self._shm_segments),),
-        ) as pool:
-            return list(pool.map(fn, items))
-
-    def _prewarm(self) -> None:
-        """Resolve the subcircuit library once in the parent before any
-        worker spawns, then publish its tensors over shared memory.
-        Fork-started children inherit the live object; spawn/forkserver
-        children attach the published segment zero-copy through
-        :func:`_worker_initializer` (falling back to the persistent
-        disk artifact, then to a characterization) — either way no
-        worker re-runs the characterization.  The one combination where
-        a parent build helps nobody — disk cache disabled *and*
-        children that cannot inherit memory — still builds when shared
-        memory can carry the result across.
-
-        Publishing is best-effort: a shm-less platform degrades to the
-        pre-shm behaviour.  The published segment names accumulate in
-        ``_shm_segments`` and ride to every worker via the pool
-        initializer (alongside any net views published with
-        :meth:`publish_net_view`)."""
-        from ..scl.library import default_scl
-        from ..shm.scl import publish_default_scl
-
-        default_scl()
-        name = publish_default_scl()
-        if name is not None and name not in self._shm_segments:
-            self._shm_segments.append(name)
+        return self.pool.map(fn, items)
 
     def publish_net_view(self, module, library=None) -> Optional[str]:
         """Publish one compiled netlist view's integer tables so pool
         workers hydrate it zero-copy instead of re-walking the module
-        (see :mod:`repro.shm.netview`).  Call before :meth:`run_jobs` /
-        :meth:`map` with any flat module the workers will analyze —
-        e.g. a macro the parent already implemented.  Returns the
+        (see :mod:`repro.shm.netview`).  Call before the first pooled
+        :meth:`run_jobs` / :meth:`map` with any flat module the workers
+        will analyze — e.g. a macro the parent already implemented;
+        workers already running build it locally.  Returns the
         segment name, or ``None`` when publishing was not possible."""
         from ..rtl.netview import net_view
         from ..shm.netview import publish_net_view as _publish
@@ -797,8 +781,8 @@ class BatchCompiler:
 
         view = net_view(module, library or default_library())
         name = _publish(view)
-        if name is not None and name not in self._shm_segments:
-            self._shm_segments.append(name)
+        if name is not None:
+            self.pool.add_segment(name)
         return name
 
     def _prewarm_corners(self, jobs: Iterable[Job]) -> None:
@@ -837,40 +821,3 @@ class BatchCompiler:
 
 #: Once-per-process latch for the corner-prewarm warning above.
 _PREWARM_WARNED = False
-
-
-def _worker_initializer(shm_segments: Sequence[str] = ()) -> None:
-    """Pool-worker startup hook: attach the parent's published
-    shared-memory tensors, then make sure an SCL is resolved before the
-    first job lands, so per-job latencies measure compilation, not
-    characterization.
-
-    Resolution order for the SCL: the shared-memory segment the parent
-    published (zero-copy tensor attach, sub-millisecond), then the
-    persistent disk artifact (or the live object inherited under
-    fork), then a lazy characterization on first use.  Published net
-    views are armed for :func:`repro.rtl.netview.net_view` to hydrate
-    on demand.  A worker that cannot preload still works, but says so
-    once (this hook runs once per process), because a misconfigured
-    cache dir showing up as a uniform slowdown is the kind of mystery
-    that eats an afternoon."""
-    try:
-        from ..shm.netview import install_attachments
-
-        install_attachments(shm_segments)
-    except Exception:
-        pass
-    try:
-        from ..scl.library import default_scl
-        from ..shm.scl import attach_default_scl
-
-        if attach_default_scl() is None:
-            default_scl()
-    except Exception as exc:
-        warnings.warn(
-            "repro: batch worker could not preload the subcircuit "
-            f"library ({type(exc).__name__}: {exc}); jobs will "
-            "characterize lazily — check the SCL cache directory",
-            RuntimeWarning,
-            stacklevel=2,
-        )

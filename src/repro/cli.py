@@ -35,7 +35,7 @@ Examples::
     python -m repro sweep --height 32:128:x2 --frequency 400 800 -j 4
     python -m repro sweep ... --job-timeout 300 --retries 2
     python -m repro sweep ... --resume 20260807-101500-ab12cd
-    python -m repro serve --port 8841 -j 2 --workers 4
+    python -m repro serve --port 8841 --workers 4
     python -m repro sweep --height 32 64 --server http://127.0.0.1:8841
     python -m repro journal --prune --keep 8
 
@@ -229,12 +229,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_serve.add_argument(
         "--workers", type=int, default=None,
-        help="concurrent queue workers (default: min(4, CPU count))",
-    )
-    p_serve.add_argument(
-        "-j", "--jobs", type=int, default=2,
-        help="engine processes per running job (default 2 — pool "
-        "mode, so the watchdog and fault isolation apply)",
+        help="jobs compiled at once, each in its own worker process "
+        "of one shared pool (default: min(4, CPU count))",
     )
     p_serve.add_argument(
         "--cache-dir",
@@ -552,7 +548,6 @@ def _run_serve(args: argparse.Namespace) -> int:
         cache_dir=args.cache_dir,
         use_cache=not args.no_cache,
         workers=args.workers,
-        engine_jobs=args.jobs,
         journal_keep=max(0, args.journal_keep),
     )
     try:
@@ -867,6 +862,7 @@ def _execute_batch(specs: List[MacroSpec], args: argparse.Namespace) -> int:
         )
         return 1
     finally:
+        engine.close()
         if sink is not None and not to_stdout:
             sink.close()
     say(result.describe())

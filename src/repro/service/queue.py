@@ -1,15 +1,18 @@
 """The service's scheduler: a thread-based priority job queue over the
 batch engine.
 
-One :class:`JobQueue` owns one :class:`~repro.batch.cache.ResultStore`
-and a pool of worker threads.  Each accepted job is executed through a
-single-job :class:`~repro.batch.engine.BatchCompiler` run sharing that
-store, so every resilience feature the batch engine grew — watchdog
-timeouts, transient-failure retries, deterministic fault injection —
-applies per service job unchanged.  With ``options.job_timeout_s`` set
-(and ``engine_jobs > 1``, the default) jobs run in a worker *process*
-under the watchdog, so a crashing compilation surfaces as a terminal
-``error``/``timeout`` record instead of taking the service down.
+One :class:`JobQueue` owns one :class:`~repro.batch.cache.ResultStore`,
+a set of scheduler threads and one :class:`~repro.batch.pool.
+WorkerPool` of the same size.  Each accepted job is executed through a
+single-job :class:`~repro.batch.engine.BatchCompiler` run on that pool
+and sharing that store, so every resilience feature the batch engine
+grew — watchdog timeouts, transient-failure retries, deterministic
+fault injection — applies per service job unchanged.  Every compile
+runs in a worker *process*, with or without ``options.job_timeout_s``:
+jobs compile in parallel instead of taking turns on the scheduler
+threads' GIL, and a crashing compilation surfaces as a terminal
+``error`` record instead of taking the service down.  The pool's
+processes start with the first job, not with the queue.
 
 Deduplication
 -------------
@@ -51,6 +54,7 @@ from ..spec import MacroSpec
 from ..batch.cache import MemoryResultStore, ResultCache, ResultStore
 from ..batch.engine import BatchCompiler
 from ..batch.jobs import CompileJob
+from ..batch.pool import WorkerPool
 from ..batch.resilience import SweepJournal, new_run_id, prune_journals
 
 #: Statuses a job can report; the first two are live, the rest terminal.
@@ -156,12 +160,8 @@ class JobQueue:
         :class:`MemoryResultStore` (dedup and fetches still work, but
         nothing survives restarts).
     workers:
-        Scheduler threads (= jobs compiling concurrently).  Default
-        ``min(4, cpu)``.
-    engine_jobs:
-        Worker-process budget of each per-job engine run.  Values > 1
-        enable the pooled (process-isolated, watchdog-capable) path
-        whenever the job carries a ``job_timeout_s``.
+        Jobs compiling concurrently: the scheduler threads and the
+        worker processes of the shared pool.  Default ``min(4, cpu)``.
     journal / journal_keep:
         The service journals terminal records under its run id
         (``journal=False`` disables); completed sweeps prune the
@@ -175,7 +175,6 @@ class JobQueue:
         cache_dir: Optional[os.PathLike] = None,
         use_cache: bool = True,
         workers: Optional[int] = None,
-        engine_jobs: int = 2,
         journal: bool = True,
         journal_keep: int = 32,
         start: bool = True,
@@ -190,7 +189,8 @@ class JobQueue:
         self.workers = max(
             1, workers if workers is not None else min(4, os.cpu_count() or 1)
         )
-        self.engine_jobs = max(1, engine_jobs)
+        #: Every job compiles here; no process starts before the first.
+        self._pool = WorkerPool(self.workers)
         self.journal_keep = max(0, journal_keep)
         self.run_id = new_run_id()
         #: Wall-clock start (display only; see :meth:`stats`).
@@ -244,7 +244,10 @@ class JobQueue:
 
     def close(self, timeout: float = 10.0) -> None:
         """Stop accepting work, cancel everything still queued, wait
-        for running jobs to land, close the journal."""
+        for running jobs to land, shut the worker pool down, close the
+        journal.  A job still running after ``timeout`` (a hang without
+        a ``job_timeout_s``) has its worker killed, so no process
+        outlives the service."""
         with self._lock:
             self._stopping = True
             for entry in self._jobs.values():
@@ -254,6 +257,7 @@ class JobQueue:
         deadline = time.monotonic() + timeout
         for thread in self._threads:
             thread.join(max(0.0, deadline - time.monotonic()))
+        self._pool.close(kill=any(t.is_alive() for t in self._threads))
         if self._journal is not None:
             self._journal.close()
 
@@ -502,13 +506,13 @@ class JobQueue:
         return None
 
     def _execute(self, entry: _JobEntry) -> Dict[str, object]:
-        """One job through a fresh single-run engine sharing the
-        service store.  The engine never raises for job failures (they
+        """One job through a single-run engine on the service's pool and
+        store.  The engine never raises for job failures (they
         are records); anything else is a service bug mapped onto an
         ``error`` record so the worker thread survives."""
         try:
             engine = BatchCompiler(
-                jobs=self.engine_jobs,
+                pool=self._pool,
                 store=self.store,
                 options=entry.options,
                 journal=False,

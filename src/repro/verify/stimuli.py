@@ -133,8 +133,9 @@ def directed_weight_matrices(
             np.full((height, groups), big),
             np.full((height, groups), -big),
             checker.astype(np.float64),
-            np.where(
-                np.arange(height)[:, None] % 2 == 0, big, tiny
+            np.broadcast_to(
+                np.where(np.arange(height)[:, None] % 2 == 0, big, tiny),
+                (height, groups),
             ).astype(np.float64),
         ]
     lo, hi = int_range(fmt.bits)

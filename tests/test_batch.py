@@ -13,6 +13,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -275,23 +276,33 @@ class TestResultCache:
         assert cache.get("ab" * 32) == {"v": 2}
         assert cache.entry_count() == 2
 
-    def test_corrupt_entry_reads_as_miss(self, tmp_path):
+    def test_corrupt_entry_reads_as_miss(self, tmp_path, monkeypatch):
+        import repro.batch.cache as cache_mod
+
+        monkeypatch.setattr(cache_mod, "_CORRUPT_KEYS", set())
         cache = ResultCache(tmp_path)
         key = "cd" * 32
         cache.put(key, {"v": 1})
         path = cache._path(key)
         path.write_text("{not json")
-        assert cache.get(key) is None
+        with pytest.warns(RuntimeWarning, match="corrupt"):
+            assert cache.get(key) is None
         cache.put(key, {"v": 2})
         assert cache.get(key) == {"v": 2}
 
     @pytest.mark.parametrize("blob", ["[]", '"x"', "3", '{"record": [1]}'])
-    def test_wrong_shaped_json_reads_as_miss(self, tmp_path, blob):
+    def test_wrong_shaped_json_reads_as_miss(self, tmp_path, blob, monkeypatch):
+        import repro.batch.cache as cache_mod
+
+        # Corruption warns once per key and process: start each case
+        # with a clean slate so every one of them warns.
+        monkeypatch.setattr(cache_mod, "_CORRUPT_KEYS", set())
         cache = ResultCache(tmp_path)
         key = "ce" * 32
         cache.put(key, {"v": 1})
         cache._path(key).write_text(blob)
-        assert cache.get(key) is None
+        with pytest.warns(RuntimeWarning, match="corrupt"):
+            assert cache.get(key) is None
 
     def test_disabled_cache_stores_nothing(self, tmp_path):
         cache = ResultCache(tmp_path, enabled=False)
@@ -448,6 +459,90 @@ class TestBatchEngine:
     def test_map_preserves_order(self):
         engine = BatchCompiler(jobs=2, use_cache=False)
         assert engine.map(abs, [-3, 2, -1]) == [3, 2, 1]
+
+    def test_run_jobs_calls_reuse_one_pool(self):
+        with BatchCompiler(jobs=2, use_cache=False) as engine:
+            assert engine.pool.worker_pids() == [], "pool starts lazily"
+            first = engine.compile_specs(
+                [_small_spec(), _small_spec(height=16)], implement=False
+            )
+            pids = engine.pool.worker_pids()
+            second = engine.compile_specs(
+                [_small_spec(width=16), _small_spec(height=16, width=16)],
+                implement=False,
+            )
+            assert len(pids) == 2
+            assert engine.pool.worker_pids() == pids
+            assert engine.pool.generation == 0
+        assert [r["status"] for r in first.records + second.records] == [
+            "ok"
+        ] * 4
+
+    def test_close_leaves_no_live_children(self):
+        engine = BatchCompiler(jobs=2, use_cache=False)
+        assert engine.map(abs, [-1, -2, -3]) == [1, 2, 3]
+        pids = engine.pool.worker_pids()
+        assert pids
+        engine.close()
+        assert engine.pool.worker_pids() == []
+        for pid in pids:
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="reads /proc")
+    def test_workers_exit_when_the_parent_is_killed(self, tmp_path):
+        """A parent that dies without closing its pool (SIGKILL, a
+        server stopped by SIGTERM) must not leave orphaned workers."""
+        pid_file = tmp_path / "worker.pid"
+        script = (
+            "import os, pathlib, sys\n"
+            "from repro.batch.pool import WorkerPool\n"
+            "pool = WorkerPool(1)\n"
+            "future, _generation = pool.submit(os.getpid)\n"
+            "pathlib.Path(sys.argv[1]).write_text(str(future.result()))\n"
+            "os._exit(0)\n"
+        )
+        # No pipes: an orphan holding one would block this call.
+        child = subprocess.run(
+            [sys.executable, "-c", script, str(pid_file)],
+            stdout=subprocess.DEVNULL,
+            stderr=subprocess.DEVNULL,
+            timeout=120,
+            env=dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src")),
+        )
+        assert child.returncode == 0
+        worker = int(pid_file.read_text())
+
+        def running(pid: int) -> bool:
+            try:
+                with open(f"/proc/{pid}/stat") as fh:
+                    state = fh.read().rsplit(")", 1)[1].split()[0]
+            except FileNotFoundError:
+                return False
+            return state != "Z"
+
+        deadline = time.monotonic() + 30
+        while running(worker):
+            assert time.monotonic() < deadline, "orphaned worker lives on"
+            time.sleep(0.1)
+
+    def test_shared_pool_outlives_its_engines(self):
+        """An engine handed a pool runs every job on it — even a
+        single one without a watchdog — and leaves it up on close."""
+        from repro.batch.pool import WorkerPool
+
+        with WorkerPool(2) as pool:
+            for spec in (_small_spec(), _small_spec(height=16)):
+                with BatchCompiler(pool=pool, use_cache=False) as engine:
+                    assert engine.jobs == 2
+                    batch = engine.compile_specs([spec], implement=False)
+                    assert batch.records[0]["status"] == "ok"
+                assert len(pool.worker_pids()) == 2
+            pids = pool.worker_pids()
+        assert pool.worker_pids() == []
+        for pid in pids:
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)
 
     def test_seed_in_cache_key_and_determinism(self, tmp_path, scl):
         """Seeded searches are reproducible and keyed separately."""

@@ -10,6 +10,7 @@ instead of a hung client.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import threading
@@ -296,7 +297,7 @@ class TestResultCacheBudget:
 
 class TestJobQueue:
     def test_submit_compiles_and_resubmit_hits_store(self):
-        with JobQueue(use_cache=False, workers=1, engine_jobs=1) as q:
+        with JobQueue(use_cache=False, workers=1) as q:
             snap = q.submit(fast_spec(), options=FAST)
             assert snap["status"] == "queued"
             final = q.wait(snap["id"], timeout=120)
@@ -309,7 +310,7 @@ class TestJobQueue:
             assert stats["cache_hits"] == 1
 
     def test_coalescing_attaches_to_inflight_job(self):
-        q = JobQueue(use_cache=False, workers=1, engine_jobs=1, start=False)
+        q = JobQueue(use_cache=False, workers=1, start=False)
         try:
             first = q.submit(fast_spec(), options=FAST)
             second = q.submit(fast_spec(), options=FAST)
@@ -408,7 +409,7 @@ class TestJobQueue:
 def service(tmp_path_factory):
     """One live server on an ephemeral port for the whole module."""
     cache_dir = tmp_path_factory.mktemp("service-cache")
-    queue = JobQueue(cache_dir=cache_dir, workers=2, engine_jobs=1)
+    queue = JobQueue(cache_dir=cache_dir, workers=2)
     server = create_server(queue)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
@@ -518,7 +519,7 @@ class TestAcceptance:
     def test_concurrent_clients_compile_each_hash_once(self, tmp_path):
         """Two clients race the same 16-point sweep; the service must
         compile each content hash exactly once."""
-        queue = JobQueue(cache_dir=tmp_path, workers=4, engine_jobs=1)
+        queue = JobQueue(cache_dir=tmp_path, workers=4)
         server = create_server(queue)
         thread = threading.Thread(target=server.serve_forever, daemon=True)
         thread.start()
@@ -560,7 +561,7 @@ class TestAcceptance:
         BatchCompiler stores for the same job — same store, same
         bytes."""
         spec = fast_spec(height=16, width=8)
-        with JobQueue(cache_dir=tmp_path, workers=1, engine_jobs=1) as q:
+        with JobQueue(cache_dir=tmp_path, workers=1) as q:
             server = create_server(q)
             thread = threading.Thread(
                 target=server.serve_forever, daemon=True
@@ -593,6 +594,20 @@ class TestAcceptance:
 # -- chaos: a crashed worker is a status, not an outage -----------------------
 
 
+@contextlib.contextmanager
+def _live_server(queue: JobQueue):
+    """Serve ``queue`` over HTTP for the block; yields a client."""
+    server = create_server(queue)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        yield ServiceClient(server.base_url)
+    finally:
+        server.shutdown()
+        server.server_close()
+        queue.close()
+
+
 class TestChaos:
     def test_crashed_worker_lands_terminal_error_and_service_survives(
         self, tmp_path, monkeypatch
@@ -603,15 +618,9 @@ class TestChaos:
         keep serving clean jobs afterwards."""
         monkeypatch.setenv("REPRO_FAULTS", "crash:1.0")
         monkeypatch.setenv("REPRO_FAULT_SEED", "0")
-        # job_timeout_s arms the pooled (process-isolated) path even
-        # for a single job; retries=0 keeps the test to one attempt.
+        # The watchdog-armed path; retries=0 keeps it to one attempt.
         chaotic = FAST.replace(job_timeout_s=120.0, retries=0)
-        queue = JobQueue(cache_dir=tmp_path, workers=1, engine_jobs=2)
-        server = create_server(queue)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        try:
-            client = ServiceClient(server.base_url)
+        with _live_server(JobQueue(cache_dir=tmp_path, workers=1)) as client:
             snap = client.submit(SPEC_PAYLOAD, options=chaotic)
             final = client.wait(snap["id"], timeout=300)
             assert final["status"] == "error", final
@@ -623,10 +632,88 @@ class TestChaos:
             assert client.health()["ok"]
             clean = client.submit(SPEC_PAYLOAD, options=FAST)
             assert client.wait(clean["id"], timeout=300)["status"] == "ok"
+
+    def test_crash_without_job_timeout_is_an_error_record(
+        self, tmp_path, monkeypatch
+    ):
+        """No watchdog: the compile still runs in a pool worker, so a
+        worker that dies on every attempt ends as an ``error`` record
+        after the retry budget, and the server compiles on."""
+        monkeypatch.setenv("REPRO_FAULTS", "crash:1.0")
+        monkeypatch.setenv("REPRO_FAULT_SEED", "0")
+        assert FAST.job_timeout_s is None
+        with _live_server(JobQueue(cache_dir=tmp_path, workers=2)) as client:
+            snap = client.submit(SPEC_PAYLOAD, options=FAST)
+            final = client.wait(snap["id"], timeout=300)
+            assert final["status"] == "error", final
+            assert "worker died" in final["record"]["error"]
+            assert final["record"]["attempts"] == FAST.retries + 1
+            monkeypatch.delenv("REPRO_FAULTS")
+            clean = client.submit(SPEC_PAYLOAD, options=FAST)
+            assert client.wait(clean["id"], timeout=300)["status"] == "ok"
+
+    def test_watchdog_kill_spares_the_job_beside_it(
+        self, tmp_path, monkeypatch
+    ):
+        """Two jobs share a two-worker pool and both hang on their
+        first attempt.  The one with a deadline times out, which kills
+        the pool under the other; that one re-runs without being
+        charged an attempt, so its record has no retry history."""
+        hang_s = 3.0
+        monkeypatch.setenv("REPRO_FAULTS", "hang:1.0:first")
+        monkeypatch.setenv("REPRO_FAULT_SEED", "0")
+        monkeypatch.setenv("REPRO_FAULT_HANG_S", str(hang_s))
+        queue = JobQueue(cache_dir=tmp_path, workers=2)
+        with _live_server(queue) as client:
+            beside = client.submit(fast_spec(width=16), options=FAST)
+            overdue = client.submit(
+                fast_spec(), options=FAST.replace(job_timeout_s=1.5)
+            )
+            timed = client.wait(overdue["id"], timeout=300)
+            spared = client.wait(beside["id"], timeout=300)
+            assert queue._pool.generation >= 1, "the pool was never killed"
+        assert timed["status"] == "ok"
+        (entry,) = timed["record"]["retry_history"]
+        assert entry["outcome"] == "timeout"
+        assert spared["status"] == "ok"
+        assert "retry_history" not in spared["record"]
+        assert "attempts" not in spared["record"]
+        # It was in flight when the pool died and ran again from the
+        # start: longer than one hang.
+        assert spared["run_s"] > hang_s + 0.5
+        assert queue.stats()["retried"] == 1
+
+    def test_close_kills_a_hang_without_job_timeout(self, monkeypatch):
+        monkeypatch.setenv("REPRO_FAULTS", "hang:1.0")
+        monkeypatch.setenv("REPRO_FAULT_HANG_S", "600")
+        queue = JobQueue(use_cache=False, workers=1)
+        snap = queue.submit(fast_spec(), options=FAST)
+        deadline = time.monotonic() + 60
+        while not queue._pool.worker_pids():
+            assert time.monotonic() < deadline, "the job never started"
+            time.sleep(0.01)
+        (pid,) = queue._pool.worker_pids()
+        assert queue.job(snap["id"])["status"] == "running"
+        started = time.monotonic()
+        queue.close(timeout=0.5)
+        assert time.monotonic() - started < 30
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)
+
+    def test_pool_starts_with_the_first_job_and_close_reaps_it(self):
+        queue = JobQueue(use_cache=False, workers=2)
+        try:
+            assert queue._pool.worker_pids() == []
+            snap = queue.submit(fast_spec(), options=FAST)
+            assert queue.wait(snap["id"], timeout=120)["status"] == "ok"
+            pids = queue._pool.worker_pids()
+            assert len(pids) == 2
         finally:
-            server.shutdown()
-            server.server_close()
             queue.close()
+        assert queue._pool.worker_pids() == []
+        for pid in pids:
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)
 
 
 # -- journals: service pruning and the CLI ------------------------------------
@@ -671,7 +758,7 @@ class TestJournals:
         for i in range(5):
             _make_journal(tmp_path, f"old-{i}", age_s=5000 + i)
         with JobQueue(
-            cache_dir=tmp_path, workers=1, engine_jobs=1, journal_keep=2
+            cache_dir=tmp_path, workers=1, journal_keep=2
         ) as q:
             sweep = q.submit_sweep(
                 {"height": ["8"], "width": ["8"], "mcr": ["1"],

@@ -347,6 +347,31 @@ class TestFlowWiring:
         assert impl.verification.vectors_run == 128
         assert len(calls) == 1
 
+    def test_fp_weights_at_mcr4_verify_clean(self, scl):
+        """Regression: FP weights at MCR 4 (several weight groups per
+        row) used to raise ``weight matrix shape mismatch`` because one
+        directed FP weight pattern was a single column."""
+        from repro.compiler.syndcim import SynDCIM
+
+        spec = MacroSpec(
+            height=16,
+            width=16,
+            mcr=4,
+            input_formats=(INT8, FP8),
+            weight_formats=(INT8, FP8),
+            mac_frequency_mhz=400.0,
+        )
+        report = SynDCIM(scl=scl).compile(spec, verify=True).implementation.verification
+        assert report is not None and report.vectors_run > 0
+        assert report.mismatch_count == 0
+
+    @pytest.mark.parametrize("fmt", [INT8, FP8])
+    def test_directed_weights_fill_every_group(self, fmt):
+        from repro.verify.stimuli import directed_weight_matrices
+
+        for matrix in directed_weight_matrices(16, 4, fmt):
+            assert matrix.shape == (16, 4)
+
     def test_implement_archs_honors_engine_verify(self, scl, small_spec):
         """Engine-level verify applies to implement-only jobs too, not
         just full compiles."""
