@@ -762,18 +762,6 @@ def _execute_batch(specs: List[MacroSpec], args: argparse.Namespace) -> int:
         except BrokenPipeError:
             muted = True
 
-    # Open the sink before any compilation so a bad --output path fails
-    # in milliseconds, not after an hours-long grid.
-    sink = None
-    if to_stdout:
-        sink = sys.stdout
-    elif args.output:
-        try:
-            sink = open(args.output, "w", encoding="utf-8")
-        except OSError as exc:
-            print(f"error: cannot write --output: {exc}", file=sys.stderr)
-            return 1
-
     write_failed = False
     streamed: set = set()
 
@@ -820,6 +808,19 @@ def _execute_batch(specs: List[MacroSpec], args: argparse.Namespace) -> int:
         plan = active_plan()
         if plan is not None:
             say(plan.describe())
+
+    # Open the sink before any compilation so a bad --output path fails
+    # in milliseconds, not after an hours-long grid — but after the
+    # option and fault checks, whose early exits must not leak it.
+    sink = None
+    if to_stdout:
+        sink = sys.stdout
+    elif args.output:
+        try:
+            sink = open(args.output, "w", encoding="utf-8")
+        except OSError as exc:
+            print(f"error: cannot write --output: {exc}", file=sys.stderr)
+            return 1
 
     engine = BatchCompiler(
         jobs=args.jobs,

@@ -20,9 +20,10 @@ generation.
 
 from __future__ import annotations
 
+import contextlib
 import gc
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Dict, Iterator, Optional, Tuple
 
 from ..arch import MacroArchitecture
 from ..errors import LayoutError, TimingError
@@ -203,10 +204,11 @@ class ImplementSession:
     #: pre-placement against a wire-derated period budget, so the
     #: post-layout wires the placer adds stay covered.
     vt_recovery: bool = False
-    #: Pause cyclic GC for the duration of each implement() call (a
-    #: bounded ~0.5 s operation whose allocation burst otherwise costs
-    #: ~25 % of the runtime in generation-2 scans).  Embedders running
-    #: other allocation-heavy threads in-process can opt out.
+    #: Pause cyclic GC for the duration of each implement() and
+    #: verify_implementation() call (bounded operations whose
+    #: allocation bursts otherwise cost a large share of the runtime
+    #: in generation-2 scans).  Embedders running other
+    #: allocation-heavy threads in-process can opt out.
     pause_gc: bool = True
 
     def __post_init__(self) -> None:
@@ -297,17 +299,31 @@ class ImplementSession:
         ``verify=True`` flag, by contrast, verifies every
         :meth:`implement` call).
         """
-        report = verify_macro(
-            impl.spec,
-            impl.arch,
-            netlist=impl.netlist,
-            shape=impl.shape,
-            library=self.library,
-            vectors=self.verify_vectors if vectors is None else vectors,
-            seed=self.verify_seed if seed is None else seed,
-        )
+        with self._gc_paused():
+            report = verify_macro(
+                impl.spec,
+                impl.arch,
+                netlist=impl.netlist,
+                shape=impl.shape,
+                library=self.library,
+                vectors=self.verify_vectors if vectors is None else vectors,
+                seed=self.verify_seed if seed is None else seed,
+            )
         impl.verification = report
         return report
+
+    @contextlib.contextmanager
+    def _gc_paused(self) -> Iterator[None]:
+        """Hold cyclic GC off for one bounded stage when ``pause_gc``
+        is set, restoring it afterwards."""
+        paused = self.pause_gc and gc.isenabled()
+        if paused:
+            gc.disable()
+        try:
+            yield
+        finally:
+            if paused:
+                gc.enable()
 
     # -- full flow ---------------------------------------------------------
 
@@ -334,14 +350,8 @@ class ImplementSession:
             cached = self._implementations.get(arch)
             if cached is not None:
                 return cached
-        gc_was_enabled = self.pause_gc and gc.isenabled()
-        if gc_was_enabled:
-            gc.disable()
-        try:
+        with self._gc_paused():
             return self._implement_uncached(arch)
-        finally:
-            if gc_was_enabled:
-                gc.enable()
 
     def _implement_uncached(self, arch: MacroArchitecture) -> Implementation:
         spec = self.spec

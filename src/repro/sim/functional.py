@@ -106,11 +106,17 @@ class DCIMMacroModel:
         if w.min() < lo or w.max() > hi:
             raise SimulationError(f"weights exceed {fmt.name} range")
         gw = self.group_width
-        for h in range(self.spec.height):
-            for g in range(self.n_groups):
-                bits = encode_int(int(w[h, g]), gw)
-                for j, bit in enumerate(bits):
-                    self._bits[bank, h, g * gw + j] = bit
+        g_lo, g_hi = int_range(gw)
+        outside = (w < g_lo) | (w > g_hi)
+        if outside.any():
+            value = int(w.flat[np.flatnonzero(outside)[0]])
+            raise SimulationError(f"{value} out of range for INT{gw}")
+        # Two's-complement bits, LSB first: column g * gw + j holds
+        # bit j of weights[h][g].
+        bits = (w[:, :, None] >> np.arange(gw)) & 1
+        self._bits[bank, :, : self.n_groups * gw] = bits.reshape(
+            self.spec.height, -1
+        )
         for g in range(self.n_groups):
             self._weight_scales[(bank, g)] = 1.0
 

@@ -12,16 +12,22 @@ kernels received, applied to simulation.
 Semantics mirror :class:`repro.sim.gatesim.GateSimulator` (the pinned
 scalar reference) bit for bit:
 
-* combinational cells are levelized once (cycle ⇒ :class:`SimulationError`);
+* combinational cells get the same topological levels as the scalar
+  reference's Kahn walk (cycle ⇒ :class:`SimulationError`);
 * sequential cells get master-slave semantics on :meth:`clock` (all D
   sampled, then all Q updated); a sequential cell without a ``Q``
   connection raises loudly;
 * memory-cell read nets are resolved roots, driven by the testbench;
 * nets can be *forced* (per-lane values override any driver).
 
-The compile step groups instances by (topological level, cell type),
-stacks their pin tables into integer gather matrices, and **renumbers
-the value rows** so each group's output pins occupy contiguous blocks:
+The compile step works on the NetView's stacked per-cell-type pin
+tables (:class:`~repro.rtl.netview.CellGroup`), never on single
+instances: levelization is a sequence of numpy frontier passes (a
+cell's level is the first pass in which every input net is resolved,
+which is its longest path from the roots), then instances are grouped
+by (level, cell type), their pin tables stacked into integer gather
+matrices, and the **value rows renumbered** so each group's output
+pins occupy contiguous blocks:
 kernels write straight into the value array through ``out=`` views and
 the scatter pass disappears entirely.  Cells whose scalar logic
 function is one of the library's known functions get a hand-written
@@ -278,17 +284,18 @@ class _Group:
     """
 
     __slots__ = (
-        "kernel", "gather", "pins", "inst", "n_out", "out_base",
+        "cell", "kernel", "gather", "pins", "inst", "n_out", "out_base",
         "rows", "index",
     )
 
-    def __init__(self, kernel, gather: np.ndarray, out_base: int,
-                 n_out: int, index: int) -> None:
+    def __init__(self, cell: Cell, kernel, gather: np.ndarray,
+                 out_base: int, index: int) -> None:
+        self.cell = cell
         self.kernel = kernel
         self.inst, self.pins = gather.shape
         self.gather = np.ascontiguousarray(gather)
         self.out_base = out_base
-        self.n_out = n_out
+        self.n_out = n_out = len(cell.outputs)
         self.rows = self.inst * n_out
         self.index = index
 
@@ -400,96 +407,126 @@ class VecSim:
         view = self._view
         module = self.module
         n_ext = self._n_ext
-        resolved: set = {self._nid[p] for p in module.input_ports}
-        seq_idx: List[int] = []
-        for idx, cell in enumerate(view.cells):
+        comb_groups = []
+        seq_groups = []
+        mem_groups = []
+        for group in view.groups:
+            cell = group.cell
             if cell.is_sequential:
-                q_pos = cell.outputs.index("Q") if "Q" in cell.outputs else -1
-                q = view.out_ids[idx][q_pos] if q_pos >= 0 else -1
-                if q < 0:
-                    inst = module.instances[idx]
-                    raise SimulationError(
-                        f"{module.name}: sequential cell {inst.name} "
-                        f"({cell.name}) has no Q connection — its state "
-                        "would be invisible to the fabric"
-                    )
-                resolved.add(q)
-                seq_idx.append(idx)
+                seq_groups.append(group)
             elif cell.is_memory:
-                for out in view.out_ids[idx]:
-                    if out >= 0:
-                        resolved.add(out)
+                mem_groups.append(group)
+            else:
+                comb_groups.append(group)
+        # Roots of the levelization, as a mask over external net ids
+        # plus one always-resolved sentinel (n_ext) that stands in for
+        # unconnected pins.
+        resolved = np.zeros(n_ext + 1, dtype=bool)
+        resolved[n_ext] = True
+        resolved[[self._nid[p] for p in module.input_ports]] = True
+        for group in mem_groups:
+            outs = group.out_ids.ravel()
+            resolved[outs[outs >= 0]] = True
 
-        # Sequential pin tables: D may be absent (state holds), Q exists.
-        d_ids = []
-        q_ids = []
-        for idx in seq_idx:
-            cell = view.cells[idx]
+        # Sequential pin tables in instance order: D may be absent
+        # (state holds), Q must exist.
+        seq_inst, d_cols, q_cols = [], [], []
+        no_q = []
+        for group in seq_groups:
+            cell = group.cell
+            n = len(group)
+            if "Q" in cell.outputs:
+                q = group.out_ids[:, cell.outputs.index("Q")]
+            else:
+                q = np.full(n, -1, dtype=np.int64)
             pins = tuple(cell.input_caps_ff)
-            d_pos = pins.index("D") if "D" in pins else -1
-            d_ids.append(view.in_ids[idx][d_pos] if d_pos >= 0 else -1)
-            q_ids.append(view.out_ids[idx][cell.outputs.index("Q")])
-        d_ext = np.asarray(d_ids, dtype=np.int64)
-        q_ext = np.asarray(q_ids, dtype=np.int64)
-        self._d_hold = d_ext < 0
-        self._state = np.zeros((len(seq_idx), self._wpad), dtype=np.uint64)
-
-        # Kahn levelization over integer net ids, mirroring the scalar
-        # simulator's pass (including its per-pin indegree accounting).
-        cells = view.cells
-        in_ids = view.in_ids
-        out_ids = view.out_ids
-        indegree: Dict[int, int] = {}
-        consumers: Dict[int, List[int]] = {}
-        schedule_members: List[int] = []
-        expected = 0
-        for idx, cell in enumerate(cells):
-            if cell.is_sequential or cell.is_memory:
-                continue
-            expected += 1
-            missing = 0
-            for net in in_ids[idx]:
-                if net >= 0 and net not in resolved:
-                    missing += 1
-                    consumers.setdefault(net, []).append(idx)
-            indegree[idx] = missing
-        from collections import deque
-
-        queue = deque(idx for idx, deg in indegree.items() if deg == 0)
-        net_level: Dict[int, int] = {net: 0 for net in resolved}
-        inst_level: Dict[int, int] = {}
-        seen_nets = set(resolved)
-        while queue:
-            idx = queue.popleft()
-            schedule_members.append(idx)
-            level = 0
-            for net in in_ids[idx]:
-                if net >= 0:
-                    level = max(level, net_level.get(net, 0))
-            inst_level[idx] = level
-            for net in out_ids[idx]:
-                if net < 0 or net in seen_nets:
-                    continue
-                seen_nets.add(net)
-                net_level[net] = level + 1
-                for consumer in consumers.get(net, ()):
-                    indegree[consumer] -= 1
-                    if indegree[consumer] == 0:
-                        queue.append(consumer)
-        if len(schedule_members) != expected:
+            if "D" in pins:
+                d = group.in_ids[:, pins.index("D")]
+            else:
+                d = np.full(n, -1, dtype=np.int64)
+            no_q.append(group.inst_idx[q < 0])
+            seq_inst.append(group.inst_idx)
+            d_cols.append(d)
+            q_cols.append(q)
+        bad = np.concatenate(no_q) if no_q else np.empty(0, np.int64)
+        if bad.size:
+            inst = module.instances[int(bad.min())]
             raise SimulationError(
-                f"levelization failed: {len(schedule_members)} of "
-                f"{expected} combinational cells ordered (cycle?)"
+                f"{module.name}: sequential cell {inst.name} "
+                f"({view.cells[int(bad.min())].name}) has no Q connection "
+                "— its state would be invisible to the fabric"
+            )
+        if seq_inst:
+            order = np.argsort(np.concatenate(seq_inst), kind="stable")
+            d_ext = np.concatenate(d_cols)[order]
+            q_ext = np.concatenate(q_cols)[order]
+        else:
+            d_ext = q_ext = np.empty(0, dtype=np.int64)
+        #: Nets whose value is testbench-owned (never written by the
+        #: fabric): input ports and memory read nets that no Q drives.
+        free_ext = resolved[:n_ext].copy()
+        free_ext[q_ext] = False
+        resolved[q_ext] = True
+        self._d_hold = d_ext < 0
+        self._state = np.zeros((len(q_ext), self._wpad), dtype=np.uint64)
+
+        # Combinational pin tables, stacked and padded: unconnected
+        # pins (and padding) read the sentinel, so "every input
+        # resolved" is one row-wise all().
+        n_comb = sum(len(g) for g in comb_groups)
+        p_max = max((g.in_ids.shape[1] for g in comb_groups), default=0)
+        o_max = max((g.out_ids.shape[1] for g in comb_groups), default=0)
+        in_mat = np.full((n_comb, p_max), n_ext, dtype=np.int64)
+        out_mat = np.full((n_comb, o_max), -1, dtype=np.int64)
+        inst_idx = np.empty(n_comb, dtype=np.int64)
+        # Groups in cell-name order, so a group's index sorts like its
+        # cell name.
+        comb_groups.sort(key=lambda g: g.cell.name)
+        group_of = np.empty(n_comb, dtype=np.int64)
+        at = 0
+        for k, group in enumerate(comb_groups):
+            n = len(group)
+            rows = slice(at, at + n)
+            p = group.in_ids.shape[1]
+            o = group.out_ids.shape[1]
+            in_mat[rows, :p] = np.where(group.in_ids >= 0, group.in_ids, n_ext)
+            out_mat[rows, :o] = group.out_ids
+            inst_idx[rows] = group.inst_idx
+            group_of[rows] = k
+            at += n
+
+        # Levelization by frontier passes: a cell's level is the first
+        # pass in which all of its inputs are resolved, and its outputs
+        # resolve for the next pass — the longest path from the roots,
+        # the same level a Kahn walk assigns.
+        ready = resolved
+        out_ready = np.where(out_mat >= 0, out_mat, n_ext)
+        level = np.full(n_comb, -1, dtype=np.int64)
+        pending = np.arange(n_comb)
+        lv = 0
+        while pending.size:
+            ok = ready[in_mat[pending]].all(axis=1)
+            if not ok.any():
+                break
+            now = pending[ok]
+            level[now] = lv
+            ready[out_ready[now]] = True
+            pending = pending[~ok]
+            lv += 1
+        if pending.size:
+            raise SimulationError(
+                f"levelization failed: {n_comb - pending.size} of "
+                f"{n_comb} combinational cells ordered (cycle?)"
             )
 
-        # Group by (level, cell ref) and stack the pin tables.
-        grouping: Dict[Tuple[int, str], List[int]] = {}
-        for idx in schedule_members:
-            grouping.setdefault(
-                (inst_level[idx], cells[idx].name), []
-            ).append(idx)
-        kernels: Dict[str, object] = {}
-        max_level = max((lv for lv, _ in grouping), default=-1)
+        # Group by (level, cell name), instances in netlist order.
+        order = np.lexsort((inst_idx, group_of, level))
+        key_level = level[order]
+        key_group = group_of[order]
+        cut = np.flatnonzero(
+            (np.diff(key_level) != 0) | (np.diff(key_group) != 0)
+        ) + 1
+        bounds = np.concatenate(([0], cut, [n_comb])) if n_comb else []
 
         # Internal row renumbering: each group's output pin j gets a
         # contiguous row block (unconnected outputs get private trash
@@ -498,36 +535,45 @@ class VecSim:
         # read nets, undriven nets — take the rows after all blocks,
         # and one shared constant-zero row (for unconnected input pins)
         # closes the table.
-        int_id = np.full(n_ext + 1, -1, dtype=np.int64)
+        kernels: Dict[str, object] = {}
+        # (level, cell, kernel, gather_ext, out_base)
+        specs: List[tuple] = []
+        out_blocks: List[np.ndarray] = []
         next_row = 0
-        specs: List[tuple] = []  # (level, kernel, gather_ext, out_base, n_out)
-        for (level, ref), idxs in sorted(grouping.items()):
-            cell = cells[idxs[0]]
-            kernel = kernels.get(ref)
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            members = order[lo:hi]
+            cell = comb_groups[int(key_group[lo])].cell
+            kernel = kernels.get(cell.name)
             if kernel is None:
-                kernel = kernels[ref] = _kernel_for(cell)
-            gather_ext = np.asarray(
-                [in_ids[i] for i in idxs], dtype=np.int64
-            ).reshape(len(idxs), len(cell.input_caps_ff))
-            gather_ext[gather_ext < 0] = n_ext  # constant-zero source
-            out_base = next_row
-            for j in range(len(cell.outputs)):
-                for i in idxs:
-                    ext = out_ids[i][j]
-                    if ext >= 0:
-                        if int_id[ext] != -1:
-                            raise SimulationError(
-                                f"net {view.net_names[ext]} has multiple "
-                                "combinational drivers"
-                            )
-                        int_id[ext] = next_row
-                    next_row += 1
-            specs.append((level, kernel, gather_ext, out_base,
-                          len(cell.outputs)))
-        for ext in range(n_ext):
-            if int_id[ext] == -1:
-                int_id[ext] = next_row
-                next_row += 1
+                kernel = kernels[cell.name] = _kernel_for(cell)
+            n_out = len(cell.outputs)
+            gather_ext = in_mat[members, : len(cell.input_caps_ff)]
+            # Pin-major block: row out_base + j*inst + i.
+            out_blocks.append(out_mat[members, :n_out].T.ravel())
+            specs.append((int(key_level[lo]), cell, kernel, gather_ext,
+                          next_row))
+            next_row += len(members) * n_out
+        occ = (
+            np.concatenate(out_blocks) if out_blocks
+            else np.empty(0, dtype=np.int64)
+        )
+        occ_rows = np.flatnonzero(occ >= 0)
+        occ = occ[occ_rows]
+        _, first = np.unique(occ, return_index=True)
+        if first.size != occ.size:
+            # Report the conflict the row order meets first.
+            dup = np.ones(occ.size, dtype=bool)
+            dup[first] = False
+            ext = int(occ[np.flatnonzero(dup)[0]])
+            raise SimulationError(
+                f"net {view.net_names[ext]} has multiple "
+                "combinational drivers"
+            )
+        int_id = np.full(n_ext + 1, -1, dtype=np.int64)
+        int_id[occ] = occ_rows
+        roots = np.flatnonzero(int_id[:n_ext] < 0)
+        int_id[roots] = next_row + np.arange(roots.size)
+        next_row += roots.size
         self._zero_int = next_row
         int_id[n_ext] = next_row
         next_row += 1
@@ -535,13 +581,13 @@ class VecSim:
         self._int = int_id
 
         groups: List[_Group] = []
-        levels: List[List[_Group]] = [[] for _ in range(max_level + 1)]
-        for level, kernel, gather_ext, out_base, n_out in specs:
+        levels: List[List[_Group]] = [[] for _ in range(lv)]
+        for level_i, cell, kernel, gather_ext, out_base in specs:
             group = _Group(
-                kernel, int_id[gather_ext], out_base, n_out, len(groups)
+                cell, kernel, int_id[gather_ext], out_base, len(groups)
             )
             groups.append(group)
-            levels[level].append(group)
+            levels[level_i].append(group)
         self._groups = groups
         self._levels = levels
         #: Internal row → index of the group that drives it (-1 for
@@ -555,13 +601,10 @@ class VecSim:
         self._d_int = int_id[np.where(d_ext >= 0, d_ext, n_ext)]
         self._q_ids = int_id[q_ext]
         self._q_id_set = frozenset(int(q) for q in self._q_ids)
-        #: Nets whose value is testbench-owned (never written by the
-        #: fabric): input ports and memory read nets.  The boolean mask
-        #: lets the bulk drive path validate whole id arrays at once.
-        free_ext = resolved - {int(q) for q in q_ext}
+        #: Testbench-owned rows as a boolean mask, so the bulk drive
+        #: path validates whole id arrays at once.
         self._free_mask = np.zeros(self._n_rows, dtype=bool)
-        if free_ext:
-            self._free_mask[int_id[np.asarray(sorted(free_ext))]] = True
+        self._free_mask[int_id[np.flatnonzero(free_ext)]] = True
 
     @property
     def n_levels(self) -> int:
@@ -683,17 +726,9 @@ class VecSim:
             self._int[ids], pack_lanes(bits.astype(np.uint8), self._wpad)
         )
 
-    def drive_nets(
-        self, net_ids: np.ndarray, bits: np.ndarray
-    ) -> None:
-        """Bulk-drive *free* nets (ports or memory read nets) by id.
-
-        ``bits`` is (len(net_ids),) scalar-per-net (broadcast across
-        lanes) or (len(net_ids), batch) per-lane.  This is the hot path
-        for loading thousands of weight nets per verification round;
-        re-driving unchanged values (a drain cycle's zeros, a repeated
-        weight image) marks nothing dirty and costs one comparison.
-        """
+    def _free_rows(self, net_ids: np.ndarray) -> np.ndarray:
+        """Value rows of testbench-owned nets; a fabric-driven id
+        raises."""
         ids = np.asarray(net_ids, dtype=np.int64)
         rows = self._int[ids]
         ok = self._free_mask[rows]
@@ -703,21 +738,54 @@ class VecSim:
                 f"net {self._view.net_names[bad]} is fabric-driven; "
                 "use force() to override a driver"
             )
+        return rows
+
+    def drive_nets(
+        self, net_ids: np.ndarray, bits: np.ndarray
+    ) -> None:
+        """Bulk-drive *free* nets (ports or memory read nets) by id.
+
+        ``bits`` is (len(net_ids),) scalar-per-net (broadcast across
+        lanes) or (len(net_ids), batch) per-lane.  Re-driving unchanged
+        values (a drain cycle's zeros, a repeated weight image) marks
+        nothing dirty and costs one comparison.
+        """
+        rows = self._free_rows(net_ids)
         bits = np.asarray(bits)
-        if bits.shape == (len(ids),):
+        if bits.shape == (len(rows),):
             words2d = np.where(
                 bits.astype(bool)[:, None], _ONES, np.uint64(0)
             ).astype(np.uint64)
             words2d = np.repeat(words2d, self._wpad, axis=1)
             words2d[:, self.words - 1] &= self._tail_mask
             words2d[:, self.words :] = 0
-        elif bits.shape == (len(ids), self.batch):
+        elif bits.shape == (len(rows), self.batch):
             words2d = pack_lanes(bits != 0, self._wpad)
         else:
             raise SimulationError(
                 f"bits shape {bits.shape} matches neither (n,) nor "
                 f"(n, {self.batch})"
             )
+        self._write_rows(rows, words2d)
+
+    def drive_net_words(
+        self, net_ids: np.ndarray, words: np.ndarray
+    ) -> None:
+        """Bulk-drive free nets with packed lane words, shape
+        (len(net_ids), words) uint64 in the :func:`pack_lanes` layout
+        — the hot path for loading thousands of weight nets whose lanes
+        carry different stimulus rounds.  Bits past the batch are
+        cleared."""
+        rows = self._free_rows(net_ids)
+        words = np.asarray(words, dtype=np.uint64)
+        if words.shape != (len(rows), self.words):
+            raise SimulationError(
+                f"words shape {words.shape} is not "
+                f"({len(rows)}, {self.words})"
+            )
+        words2d = np.zeros((len(rows), self._wpad), dtype=np.uint64)
+        words2d[:, : self.words] = words
+        words2d[:, self.words - 1] &= self._tail_mask
         self._write_rows(rows, words2d)
 
     def force(self, net: str, value: BatchValue) -> None:

@@ -17,9 +17,17 @@ FP-alignment extremes), the first rounds of each weight format with
 directed weight patterns per bank; the rest are seeded random, so any
 failure reproduces from ``(seed, vectors, batch)`` alone.
 
+Rounds fix the stimulus, not the simulated width: consecutive rounds
+share one simulation pass of up to :data:`PASS_LANES` lanes, each
+round's weights loaded into its own lanes as packed per-net words.
+The report is the one a round-per-pass loop gives, mismatch for
+mismatch; wide passes just pay the simulator's per-group overhead four
+times less often at the default 1024-vector rounds.
+
 The result is a structured :class:`VerificationReport`: vectors run,
 mismatches (first-failing MAC cycle and output column, expected vs
-observed), and throughput — the number the perf harness tracks as
+observed), and throughput over the whole stage, testbench build
+included — the number the perf harness tracks as
 ``vecsim_vectors_per_s``.
 """
 
@@ -46,6 +54,11 @@ from .testbench import VecMacroTestbench
 
 #: Default stimulus count: the acceptance bar for one compiled macro.
 DEFAULT_VECTORS = 4096
+
+#: Widest simulation pass: consecutive stimulus rounds share one
+#: :meth:`~repro.verify.testbench.VecMacroTestbench.run_mac` of up to
+#: this many lanes (one 64-word tile of the simulator's value cube).
+PASS_LANES = 4096
 
 
 @dataclass(frozen=True)
@@ -149,11 +162,16 @@ def verify_macro(
         Total MAC cycles to run (directed corners first, then seeded
         random).
     batch:
-        Lanes evaluated simultaneously; the default caps at 1024 and
-        shrinks so every weight format owns at least one round (input
-        formats and banks are striped across the lanes of *every*
-        round, so they need no extra rounds).
+        Vectors per stimulus round: each round loads fresh weights
+        into every bank under one weight format and rotates the lane
+        stripes.  The default caps at 1024 and shrinks so every weight
+        format owns at least one round (input formats and banks are
+        striped across the lanes of *every* round, so they need no
+        extra rounds).  The round size fixes the stimulus and the
+        report, not the simulated width: consecutive rounds share one
+        simulation pass of up to :data:`PASS_LANES` lanes.
     """
+    t0 = time.perf_counter()
     arch = arch or MacroArchitecture()
     if vectors < 1:
         raise SimulationError(f"vectors must be positive, got {vectors}")
@@ -162,9 +180,10 @@ def verify_macro(
     n_in, n_w = len(in_fmts), len(w_fmts)
     if batch is None:
         batch = max(1, min(1024, vectors, -(-vectors // n_w)))
+    rounds_per_pass = max(1, PASS_LANES // batch)
     tb = VecMacroTestbench(
-        spec, arch, batch=batch, netlist=netlist, shape=shape,
-        library=library,
+        spec, arch, batch=min(vectors, rounds_per_pass * batch),
+        netlist=netlist, shape=shape, library=library,
     )
     rng = np.random.default_rng(seed)
     height, groups = spec.height, tb.model.n_groups
@@ -181,66 +200,91 @@ def verify_macro(
     #: with batches smaller than n_in, a format's first lanes may only
     #: appear in a later round.
     corners_done = [False] * n_in
-    t0 = time.perf_counter()
     while offset < vectors:
-        n = min(batch, vectors - offset)
-        w_fmt = w_fmts[round_i % n_w]
+        # One simulation pass: the stimulus of up to rounds_per_pass
+        # consecutive rounds, drawn in round order, each round's
+        # weights loaded into its own lanes.
+        pass_offset = offset
+        xs_parts, bank_parts, fmt_parts, w_parts, exp_parts = (
+            [], [], [], [], []
+        )
+        for _ in range(rounds_per_pass):
+            if offset >= vectors:
+                break
+            n = min(batch, vectors - offset)
+            lanes = (offset - pass_offset, offset - pass_offset + n)
+            w_fi = round_i % n_w
+            w_fmt = w_fmts[w_fi]
 
-        # Every bank gets fresh weights each round: directed patterns
-        # first (spread over (round, bank) so each bank sees them),
-        # then seeded random draws.
-        patterns = directed_w[w_fmt.name]
-        for bank in range(spec.mcr):
-            pat = (round_i // n_w) * spec.mcr + bank
-            if pat < len(patterns):
-                weights = patterns[pat]
-            else:
-                weights = random_weight_matrix(rng, height, groups, w_fmt)
-            tb.load_weights(bank, weights, w_fmt)
+            # Every bank gets fresh weights each round: directed
+            # patterns first (spread over (round, bank) so each bank
+            # sees them), then seeded random draws.
+            patterns = directed_w[w_fmt.name]
+            for bank in range(spec.mcr):
+                pat = (round_i // n_w) * spec.mcr + bank
+                if pat < len(patterns):
+                    weights = patterns[pat]
+                else:
+                    weights = random_weight_matrix(
+                        rng, height, groups, w_fmt
+                    )
+                tb.load_weights(bank, weights, w_fmt, lanes=lanes)
 
-        # Stripe lanes across input formats and (independently) across
-        # banks.  Both stripes rotate per round, so even a batch
-        # smaller than the format/bank count cycles through everything
-        # over successive rounds; a round with more than n_in * mcr
-        # lanes covers every (input format, bank) pair by itself.
-        lane = np.arange(n)
-        fmt_idx = (lane + round_i) % n_in
-        banks = ((lane // n_in) + round_i) % spec.mcr
-        xs = np.zeros((n, height), dtype=np.int64)
-        for fi, in_fmt in enumerate(in_fmts):
-            lanes = np.nonzero(fmt_idx == fi)[0]
-            if not len(lanes):
-                continue
-            draws = random_input_vectors(rng, height, in_fmt, len(lanes))
-            if not corners_done[fi]:
-                corners = directed_input_vectors(height, in_fmt)
-                take = min(len(corners), len(lanes))
-                draws[:take] = corners[:take]
-                corners_done[fi] = True
-            xs[lanes] = draws
+            # Stripe lanes across input formats and (independently)
+            # across banks.  Both stripes rotate per round, so even a
+            # batch smaller than the format/bank count cycles through
+            # everything over successive rounds; a round with more
+            # than n_in * mcr lanes covers every (input format, bank)
+            # pair by itself.
+            lane = np.arange(n)
+            fmt_idx = (lane + round_i) % n_in
+            banks = ((lane // n_in) + round_i) % spec.mcr
+            xs = np.zeros((n, height), dtype=np.int64)
+            for fi, in_fmt in enumerate(in_fmts):
+                picked = np.nonzero(fmt_idx == fi)[0]
+                if not len(picked):
+                    continue
+                draws = random_input_vectors(
+                    rng, height, in_fmt, len(picked)
+                )
+                if not corners_done[fi]:
+                    corners = directed_input_vectors(height, in_fmt)
+                    take = min(len(corners), len(picked))
+                    draws[:take] = corners[:take]
+                    corners_done[fi] = True
+                xs[picked] = draws
 
-        observed = tb.run_mac(xs, banks)
-        expected = tb.expected(xs, banks)
+            xs_parts.append(xs)
+            bank_parts.append(banks)
+            fmt_parts.append(fmt_idx)
+            w_parts.append(np.full(n, w_fi))
+            exp_parts.append(tb.expected(xs, banks))
+            offset += n
+            round_i += 1
+
+        banks = np.concatenate(bank_parts)
+        observed = tb.run_mac(np.concatenate(xs_parts), banks)
+        expected = np.concatenate(exp_parts)
         bad = observed != expected
         if bad.any():
             mismatch_count += int(bad.sum())
-            lanes, cols = np.nonzero(bad)
-            for lane, col in zip(lanes, cols):
+            fmt_idx = np.concatenate(fmt_parts)
+            w_idx = np.concatenate(w_parts)
+            lanes_bad, cols = np.nonzero(bad)
+            for lane, col in zip(lanes_bad, cols):
                 if len(mismatches) >= max_records:
                     break
                 mismatches.append(
                     Mismatch(
-                        cycle=offset + int(lane),
+                        cycle=pass_offset + int(lane),
                         column=int(col),
                         expected=int(expected[lane, col]),
                         observed=int(observed[lane, col]),
                         input_format=in_fmts[int(fmt_idx[lane])].name,
-                        weight_format=w_fmt.name,
+                        weight_format=w_fmts[int(w_idx[lane])].name,
                         bank=int(banks[lane]),
                     )
                 )
-        offset += n
-        round_i += 1
     elapsed = time.perf_counter() - t0
 
     return VerificationReport(

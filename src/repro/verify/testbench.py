@@ -15,24 +15,29 @@ Weight-net resolution:
 * a *digital* macro exposes ``wb[...]`` input ports — driven directly;
 * a *physical* macro (from the implementation flow) buries those nets
   behind the bitcell array.  The testbench recovers them structurally:
-  every memory cell's ``WL``/``BL`` connections name the top-level
-  ``wl[row]``/``bl[col]`` ports, which pin down the cell's (physical
-  row, column) — and its ``RD`` net is the weight-complement net to
-  drive.  This survives synthesis passes because they never rewire the
-  array.
+  the bitcells come from the NetView's memory-cell groups, each named
+  ``cell_r<row>_c<col>`` by the array generator, or else placed by its
+  ``WL``/``BL`` connections to the top-level ``wl[row]``/``bl[col]``
+  ports — and its ``RD`` net is the weight-complement net to drive.
+  This survives synthesis passes because they never rewire the array.
+
+Weights live in a packed per-net word image, one bit per lane, that
+:meth:`VecMacroTestbench.run_mac` drives in one write; a load may
+target a lane range, so one pass can carry several weight sets.
 """
 
 from __future__ import annotations
 
 import re
 import time
-from typing import Optional, Union
+from typing import Optional, Tuple, Union
 
 import numpy as np
 
 from ..arch import MacroArchitecture
 from ..errors import SimulationError
 from ..rtl.gen.macro import MacroShape, generate_macro, macro_shape
+from ..rtl.netview import net_view
 from ..sim.formats import int_range
 from ..sim.functional import DCIMMacroModel
 from ..sim.vecsim import VecSim
@@ -44,6 +49,20 @@ BankSelect = Union[int, np.ndarray]
 
 _PORT_INDEX = re.compile(r"\[(\d+)\]$")
 _CELL_NAME = re.compile(r"cell_r(\d+)_c(\d+)$")
+_ALL = (1 << 64) - 1
+_ONES = np.uint64(_ALL)
+
+
+def _pin_column(group, pin: str) -> np.ndarray:
+    """Net ids on one pin of every instance of a view group (-1 where
+    the cell has no such pin or it is unconnected)."""
+    cell = group.cell
+    pins = tuple(cell.input_caps_ff)
+    if pin in pins:
+        return group.in_ids[:, pins.index(pin)]
+    if pin in cell.outputs:
+        return group.out_ids[:, cell.outputs.index(pin)]
+    return np.full(len(group), -1, dtype=np.int64)
 
 
 def _port_index(net: Optional[str]) -> Optional[int]:
@@ -85,6 +104,18 @@ class VecMacroTestbench:
             + (1 if self.arch.column_split > 1 else 0)
         )
         self._wb_ids = self._resolve_weight_nets()
+        mcr = spec.mcr
+        #: Weight image: the packed lane words of every weight net, in
+        #: wb flat-index order; :meth:`run_mac` drives it when pending.
+        self._wb_words = np.zeros(
+            (len(self._wb_ids), self.sim.words), dtype=np.uint64
+        )
+        self._wb_pending = False
+        flat = np.arange(len(self._wb_ids)).reshape(
+            spec.height * mcr, spec.width
+        )
+        #: Image rows of each bank, in the model's (row, column) order.
+        self._bank_rows = [flat[b::mcr].reshape(-1) for b in range(mcr)]
         self._x_ids = np.asarray(
             [self.sim.net_id(f"x[{r}]") for r in range(spec.height)],
             dtype=np.int64,
@@ -111,28 +142,39 @@ class VecMacroTestbench:
                 [self.sim.net_id(f"wb[{i}]") for i in range(total)],
                 dtype=np.int64,
             )
+        # The bitcells and their pin nets come straight from the view's
+        # memory-cell groups, taken in netlist order.
+        view = net_view(self.netlist, self.library)
+        bitcells = []
+        for group in view.groups:
+            if group.cell.is_memory:
+                bitcells.extend(zip(
+                    group.inst_idx.tolist(),
+                    _pin_column(group, "WL").tolist(),
+                    _pin_column(group, "BL").tolist(),
+                    _pin_column(group, "RD").tolist(),
+                ))
+        bitcells.sort()
+        names = view.net_names
         ids = np.full(total, -1, dtype=np.int64)
-        for inst in self.netlist.instances:
-            cell = self.library.cell(inst.cell_name)
-            if not cell.is_memory:
-                continue
+        for inst_i, wl, bl, rd in bitcells:
+            inst_name = self.netlist.instances[inst_i].name
             # Primary: the array generator names every bitcell
             # cell_r<physrow>_c<col>; synthesis passes never rename
             # instances.  Fallback: the WL/BL port indices — valid
             # unless a repeater pass rewired the word line.
-            m = _CELL_NAME.search(inst.name)
+            m = _CELL_NAME.search(inst_name)
             if m:
-                row, col = int(m.group(1)), int(m.group(2))
+                row, col = int(m[1]), int(m[2])
             else:
-                row = _port_index(inst.conn.get("WL"))
-                col = _port_index(inst.conn.get("BL"))
-            rd = inst.conn.get("RD")
-            if row is None or col is None or rd is None:
+                row = _port_index(names[wl] if wl >= 0 else None)
+                col = _port_index(names[bl] if bl >= 0 else None)
+            if row is None or col is None or rd < 0:
                 raise SimulationError(
-                    f"memory cell {inst.name} cannot be mapped to a "
+                    f"memory cell {inst_name} cannot be mapped to a "
                     "(row, column); cannot drive weight nets"
                 )
-            ids[row * spec.width + col] = self.sim.net_id(rd)
+            ids[row * spec.width + col] = rd
         if (ids < 0).any():
             raise SimulationError(
                 "netlist has no wb ports and its bitcell array does not "
@@ -143,10 +185,22 @@ class VecMacroTestbench:
     # -- weight loading ------------------------------------------------------
 
     def load_weights(
-        self, bank: int, weights: np.ndarray, fmt: DataFormat
+        self,
+        bank: int,
+        weights: np.ndarray,
+        fmt: DataFormat,
+        lanes: Optional[Tuple[int, int]] = None,
     ) -> None:
         """Load one bank through the model's packing, then mirror the
-        stored bits onto the netlist's weight-complement nets."""
+        stored bits onto the netlist's weight-complement nets.
+
+        ``lanes=(lo, hi)`` applies the bank to lanes ``lo..hi-1`` only;
+        every other lane keeps the weights it had, so consecutive
+        stimulus rounds with different weights share one wide
+        :meth:`run_mac`.  The bits land as packed per-net words under
+        the range's lane mask in the testbench's weight image, which
+        the next :meth:`run_mac` drives in one write.
+        """
         if fmt.is_float:
             self.model.set_weights_fp(
                 bank, [list(row) for row in np.asarray(weights)], fmt
@@ -155,12 +209,22 @@ class VecMacroTestbench:
             self.model.set_weights_int(
                 bank, np.asarray(weights, dtype=np.int64), fmt
             )
-        bits = self.model.weight_bits(bank)  # (height, width)
-        mcr = self.spec.mcr
-        bank_ids = self._wb_ids.reshape(
-            self.spec.height * mcr, self.spec.width
-        )[bank::mcr]
-        self.sim.drive_nets(bank_ids.reshape(-1), 1 - bits.reshape(-1))
+        lo, hi = (0, self.sim.batch) if lanes is None else lanes
+        if not 0 <= lo < hi <= self.sim.batch:
+            raise SimulationError(
+                f"lanes {lanes} outside the batch of {self.sim.batch}"
+            )
+        w0, w1 = lo // 64, (hi + 63) // 64
+        mask = np.full(w1 - w0, _ONES, dtype=np.uint64)
+        mask[0] &= np.uint64(_ALL ^ ((1 << (lo % 64)) - 1))
+        mask[-1] &= np.uint64((1 << ((hi - 1) % 64 + 1)) - 1)
+        complement = 1 - self.model.weight_bits(bank).reshape(-1, 1)
+        rows = self._bank_rows[bank]
+        block = self._wb_words[rows, w0:w1]
+        block &= ~mask
+        block |= complement.astype(np.uint64) * mask
+        self._wb_words[rows, w0:w1] = block
+        self._wb_pending = True
 
     def select_bank(self, bank: BankSelect) -> None:
         """Drive the MCR select — a scalar for every lane, or one bank
@@ -195,10 +259,12 @@ class VecMacroTestbench:
                 [xs, np.zeros((sim.batch - n, spec.height), dtype=np.int64)]
             )
         k = spec.input_width
-        # (batch, height, k) serial bits, LSB first along the last axis.
-        xbits = (
-            ((xs & ((1 << k) - 1))[:, :, None] >> np.arange(k)) & 1
-        ).astype(np.uint8)
+        # (height, batch) two's-complement inputs; each serial cycle
+        # shifts out one bit row, MSB first.
+        xs_t = np.ascontiguousarray(xs.T)
+        if self._wb_pending:
+            sim.drive_net_words(self._wb_ids, self._wb_words)
+            self._wb_pending = False
         self.select_bank(bank)
         for i, s in enumerate(self.model.sub_controls()):
             sim.set_input(f"sub[{i}]", s)
@@ -206,7 +272,7 @@ class VecMacroTestbench:
         zeros = np.zeros((spec.height, sim.batch), dtype=np.uint8)
         for cyc in range(shape.latency_cycles):
             if cyc < k:
-                rows = np.ascontiguousarray(xbits[:, :, k - 1 - cyc].T)
+                rows = ((xs_t >> (k - 1 - cyc)) & 1).astype(np.uint8)
             else:
                 rows = zeros
             sim.drive_nets(self._x_ids, rows)
